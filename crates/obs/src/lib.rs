@@ -155,7 +155,9 @@ impl Histogram {
     }
 
     /// Approximate 95th percentile: the upper bound of the power-of-two
-    /// bucket containing the 95th-percentile observation.
+    /// bucket containing the 95th-percentile observation, clamped to the
+    /// observed `[min, max]` so it never reports a value no observation
+    /// reached.
     pub fn p95_nanos(&self) -> u64 {
         if self.count == 0 {
             return 0;
@@ -166,7 +168,8 @@ impl Histogram {
             seen += n;
             if seen >= rank {
                 // Bucket i holds values with bit length i: upper bound 2^i - 1.
-                return if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
+                let edge = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
+                return edge.clamp(self.min_nanos, self.max_nanos);
             }
         }
         self.max_nanos
@@ -466,8 +469,21 @@ mod tests {
         assert_eq!(h.max_nanos(), 10_000);
         assert!((h.mean_nanos() - 2_200.0).abs() < 1e-9);
         // p95 rank 5 of 5 lands in the bucket holding 10_000 (bit length
-        // 14): upper bound 2^14 - 1.
-        assert_eq!(h.p95_nanos(), (1 << 14) - 1);
+        // 14), whose upper bound 2^14 - 1 exceeds every observation: the
+        // estimate is clamped to the observed max.
+        assert_eq!(h.p95_nanos(), 10_000);
+        // A lone observation is its own p95, not its bucket's edge.
+        let mut one = Histogram::default();
+        one.observe(1_000);
+        assert_eq!(one.p95_nanos(), 1_000);
+        // Within the observed range the bucket edge stands: rank 19 of 20
+        // lands in the bucket of 300 (bit length 9), edge 511 < max.
+        let mut many = Histogram::default();
+        for _ in 0..19 {
+            many.observe(300);
+        }
+        many.observe(100_000);
+        assert_eq!(many.p95_nanos(), 511);
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //!
 //! It provides:
 //!
-//! * a deterministic discrete-event [`engine`] with a virtual clock,
 //! * a network [`topology`] of hosts, routers, and links,
 //! * a fluid-flow [`network`] model in which concurrent transfers share link
-//!   capacity max-min fairly (see [`flow`]),
-//! * a Remos-like predicted-[`bandwidth`] oracle with cold-query behaviour,
+//!   capacity max-min fairly (see [`flow`]). In-flight transfers are grouped
+//!   into same-pair *cohorts*: the transfers between one `(src, dst)` pair
+//!   share a path and a rate, so each cohort is one repeated row in the
+//!   persistent [`alloc`]ator and one contiguous slice in a drain step,
+//! * Remos-like bandwidth predictions
+//!   ([`Network::available_bandwidth`]) as one-shot probe solves,
 //! * deterministic randomness ([`rng`]), time-series [`stats`], and an event
 //!   [`trace`] used by the experiment harness,
 //! * generic name → value [`registry`] tables backing the preset catalogues
@@ -22,9 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod bandwidth;
-pub mod engine;
-pub mod event;
 pub mod flow;
 pub mod network;
 pub mod registry;
@@ -35,9 +35,6 @@ pub mod topology;
 pub mod trace;
 
 pub use alloc::{Allocator, DemandSet, ResourceId};
-pub use bandwidth::{BandwidthEstimate, RemosConfig, RemosOracle};
-pub use engine::{Ctx, Engine, Model};
-pub use event::{EventHandle, EventQueue};
 pub use network::{AggregationStats, CompletedTransfer, NetError, Network, TransferId};
 pub use registry::{Registry, RegistryError};
 pub use rng::SimRng;

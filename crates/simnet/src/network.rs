@@ -51,21 +51,203 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-#[derive(Debug, Clone)]
-struct ActiveTransfer {
+/// One in-flight transfer's own state; its path and rate live on its cohort.
+#[derive(Debug)]
+struct Member {
     id: TransferId,
+    size_bits: f64,
+    started: SimTime,
+    tag: u64,
+}
+
+/// The in-flight transfers between one `(src, dst)` pair. They share a path,
+/// a resource vector and therefore their max-min rate, so the allocator sees
+/// a cohort as one repeated demand row and a drain step is one `rate * dt`
+/// over a contiguous slice.
+///
+/// Members are kept in non-decreasing `remaining` order. A drain subtracts
+/// the same amount from every member and `(x - d).max(0.0)` is monotone in
+/// `x`, so draining preserves the order; a member's drain instant is
+/// monotone in its remaining volume too, so the cohort's earliest
+/// `(drain_at, id)` lies in the prefix sharing the first member's instant.
+#[derive(Debug)]
+struct Cohort {
     src: NodeId,
     dst: NodeId,
-    size_bits: f64,
-    remaining_bits: f64,
     path: Vec<LinkId>,
     /// The path translated to allocator resources (direction-aware when a
     /// one-way degrade is in force; plain link indices otherwise).
     resources: Vec<ResourceId>,
-    rate_bps: f64,
-    started: SimTime,
     extra_latency: SimDuration,
-    tag: u64,
+    rate_bps: f64,
+    /// Remaining bits per member, non-decreasing; parallel to `members`.
+    remaining: Vec<f64>,
+    members: Vec<Member>,
+    /// Position in [`Transfers::live`].
+    live_pos: u32,
+    /// The cohort's rate slot in the current epoch's solve.
+    slot: u32,
+}
+
+impl Cohort {
+    /// Seconds until `remaining` bits have drained at the cohort's rate,
+    /// capped at the same 1e12 s horizon as every drain prediction.
+    fn drain_secs(&self, remaining: f64) -> f64 {
+        let secs = if self.rate_bps > 0.0 {
+            remaining / self.rate_bps
+        } else {
+            f64::INFINITY
+        };
+        secs.min(1.0e12)
+    }
+
+    /// The member that finishes draining first from `now` — its drain
+    /// instant, id and position — with ties broken on the transfer id, so
+    /// simultaneous completions drain in a deterministic order. Equal to
+    /// the minimum `(drain_at, id)` over every member: instants are
+    /// monotone along the member order, so only the prefix sharing the
+    /// first instant can hold it (two remaining volumes can round to one
+    /// instant, hence the walk).
+    fn next_drain(&self, now: SimTime) -> (SimTime, TransferId, usize) {
+        let at = |x: f64| now + SimDuration::from_secs(self.drain_secs(x));
+        let first = at(self.remaining[0]);
+        let (mut id, mut pos) = (self.members[0].id, 0);
+        for (k, (&x, m)) in self.remaining.iter().zip(&self.members).enumerate().skip(1) {
+            if at(x) > first {
+                break;
+            }
+            if m.id < id {
+                (id, pos) = (m.id, k);
+            }
+        }
+        (first, id, pos)
+    }
+
+    /// Drains every member for `dt` seconds at the cohort's rate.
+    fn drain(&mut self, dt: f64) {
+        let bits = self.rate_bps * dt;
+        for x in &mut self.remaining {
+            *x = (*x - bits).max(0.0);
+        }
+    }
+
+    fn position(&self, id: TransferId) -> Option<usize> {
+        self.members.iter().position(|m| m.id == id)
+    }
+}
+
+/// The in-flight transfers, grouped into same-pair [`Cohort`]s held in a
+/// slab whose freed slots (and their buffers) are reused.
+#[derive(Debug, Default)]
+struct Transfers {
+    cohorts: Vec<Cohort>,
+    /// Slab slots whose cohort has no members.
+    free: Vec<u32>,
+    /// Slots of the non-empty cohorts, in a deterministic order. Row order
+    /// cannot change a rate: every transfer demand has unit weight.
+    live: Vec<u32>,
+    by_pair: HashMap<(NodeId, NodeId), u32>,
+    /// Transfer → cohort slot, in id order.
+    by_id: BTreeMap<TransferId, u32>,
+}
+
+impl Transfers {
+    fn len(&self) -> usize {
+        self.by_id.len()
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Cohort> {
+        self.live.iter().map(|&ci| &self.cohorts[ci as usize])
+    }
+
+    fn find(&self, id: TransferId) -> Option<(&Cohort, usize)> {
+        let c = &self.cohorts[*self.by_id.get(&id)? as usize];
+        Some((c, c.position(id)?))
+    }
+
+    /// Opens a cohort for a pair that has none.
+    fn open(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        path: &[LinkId],
+        extra_latency: SimDuration,
+    ) -> u32 {
+        let ci = match self.free.pop() {
+            Some(ci) => ci,
+            None => {
+                self.cohorts.push(Cohort {
+                    src,
+                    dst,
+                    path: Vec::new(),
+                    resources: Vec::new(),
+                    extra_latency,
+                    rate_bps: 0.0,
+                    remaining: Vec::new(),
+                    members: Vec::new(),
+                    live_pos: 0,
+                    slot: 0,
+                });
+                (self.cohorts.len() - 1) as u32
+            }
+        };
+        let c = &mut self.cohorts[ci as usize];
+        c.src = src;
+        c.dst = dst;
+        c.path.clear();
+        c.path.extend_from_slice(path);
+        c.extra_latency = extra_latency;
+        c.rate_bps = 0.0;
+        c.live_pos = self.live.len() as u32;
+        self.live.push(ci);
+        self.by_pair.insert((src, dst), ci);
+        ci
+    }
+
+    /// Adds a member to cohort `ci`, keeping the remaining order.
+    fn join(&mut self, ci: u32, member: Member, remaining_bits: f64) {
+        self.by_id.insert(member.id, ci);
+        let c = &mut self.cohorts[ci as usize];
+        let pos = c.remaining.partition_point(|&x| x <= remaining_bits);
+        c.remaining.insert(pos, remaining_bits);
+        c.members.insert(pos, member);
+    }
+
+    /// Removes the member at `pos` of cohort `ci`, closing the cohort when
+    /// it empties.
+    fn take(&mut self, ci: u32, pos: usize) -> Member {
+        let c = &mut self.cohorts[ci as usize];
+        c.remaining.remove(pos);
+        let member = c.members.remove(pos);
+        self.by_id.remove(&member.id);
+        if c.members.is_empty() {
+            let (pair, live_pos) = ((c.src, c.dst), c.live_pos as usize);
+            self.by_pair.remove(&pair);
+            self.live.swap_remove(live_pos);
+            if let Some(&moved) = self.live.get(live_pos) {
+                self.cohorts[moved as usize].live_pos = live_pos as u32;
+            }
+            self.free.push(ci);
+        }
+        member
+    }
+
+    /// Drains every transfer for `dt` seconds at its cohort's rate.
+    fn drain(&mut self, dt: f64) {
+        for &ci in &self.live {
+            self.cohorts[ci as usize].drain(dt);
+        }
+    }
+
+    /// Min over positive-rate cohorts of their first member's drain time —
+    /// the minimum over every positive-rate transfer, since `drain_secs` is
+    /// monotone in the remaining volume.
+    fn drain_min_pos_secs(&self) -> Option<f64> {
+        self.live()
+            .filter(|c| c.rate_bps > 0.0)
+            .map(|c| c.drain_secs(c.remaining[0]))
+            .reduce(f64::min)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -104,7 +286,9 @@ impl CompletedTransfer {
 /// bookkeeping (observability only — never feeds back into behaviour).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AggregationStats {
-    /// Demand rows pushed in the last epoch (aggregate and plain).
+    /// Demand rows of the last epoch, counted as if every transfer had its
+    /// own row: aggregate rows plus one per transfer left out of them (the
+    /// same-pair cohort row that carries `m` plain transfers counts `m`).
     pub rows: usize,
     /// Member flows represented by aggregate rows in the last epoch.
     pub aggregated_flows: usize,
@@ -118,14 +302,14 @@ pub struct AggregationStats {
 /// of [`AggState`] so buffers persist across epochs.
 #[derive(Debug, Default)]
 struct GroupScratch {
-    /// Index (in id-ordered active-transfer iteration) of the group's first
-    /// member — the representative whose shared resource slice later members
-    /// must match exactly.
+    /// Cohort slot of the group's first member in id order — the
+    /// representative whose shared resource slice later members must match
+    /// exactly.
     rep: u32,
     /// Whether the classed client is the transfer source (the access
     /// resource is then the first path entry, else the last).
     client_is_src: bool,
-    /// Member transfer indices, in id order.
+    /// Member cohort slots (one transfer each), in id order.
     members: Vec<u32>,
 }
 
@@ -145,8 +329,6 @@ struct AggState {
     /// Last-epoch row/flow statistics.
     stats: AggregationStats,
     // ---- per-epoch scratch (cleared, never shrunk) ----
-    /// Member rate index per active transfer, in id order.
-    member_of: Vec<u32>,
     /// Concurrent-transfer count per classed client this epoch.
     counts: HashMap<NodeId, u32>,
     /// (class, far endpoint, client-is-src) → group slot.
@@ -168,7 +350,6 @@ impl AggState {
     }
 
     fn begin_epoch(&mut self) {
-        self.member_of.clear();
         self.counts.clear();
         self.index.clear();
         self.n_groups = 0;
@@ -191,10 +372,13 @@ impl AggState {
 /// The fluid-flow network simulation.
 ///
 /// Internally the network keeps a persistent [`Allocator`] with dense
-/// index-based state: active transfers live in a `BTreeMap` (id-ordered, so
-/// demand rebuilding needs no sort), shortest paths come from a cached
-/// [`PathTable`], effective link capacities live in a dense vector refreshed
-/// only when a capacity-affecting mutation occurs, and probe queries
+/// index-based state: in-flight transfers are grouped into **cohorts** by
+/// `(src, dst)` pair — one path, one rate and one repeated demand row per
+/// cohort, with the members' remaining volumes contiguous — so a pile of
+/// stalled same-pair requests costs one row per solve and one slice per
+/// drain step; shortest paths come from a cached [`PathTable`], effective
+/// link capacities live in a dense vector refreshed only when a
+/// capacity-affecting mutation occurs, and probe queries
 /// ([`available_bandwidth`](Self::available_bandwidth)) run as a one-shot
 /// insert against the cached demand set of the current *allocation epoch* —
 /// the interval between two mutations — with results memoised per
@@ -211,7 +395,7 @@ impl AggState {
 #[derive(Debug)]
 pub struct Network {
     topology: Topology,
-    active: BTreeMap<TransferId, ActiveTransfer>,
+    transfers: Transfers,
     pending: Vec<PendingDelivery>,
     background: HashMap<(NodeId, NodeId), f64>,
     next_id: u64,
@@ -234,11 +418,11 @@ pub struct Network {
     caps: Vec<f64>,
     /// Set by capacity-affecting mutations; consumed by `recompute_rates`.
     caps_dirty: bool,
-    /// Demands of the current epoch, in transfer-id order.
+    /// Demands of the current epoch, one row per cohort or aggregate.
     demands: DemandSet,
     /// Min over active transfers of `(remaining/rate).min(1e12)`, restricted
     /// to positive-rate transfers — the cached answer `next_event_time`
-    /// previously recomputed by scanning every transfer.
+    /// would otherwise recompute by scanning every cohort.
     drain_min_pos_secs: Option<f64>,
     paths: RefCell<PathTable>,
     alloc: RefCell<Allocator>,
@@ -268,7 +452,7 @@ impl Network {
         let nominal_caps: Vec<f64> = topology.links().map(|(_, l)| l.capacity_bps).collect();
         let mut network = Network {
             topology,
-            active: BTreeMap::new(),
+            transfers: Transfers::default(),
             pending: Vec::new(),
             background: HashMap::new(),
             next_id: 0,
@@ -305,7 +489,7 @@ impl Network {
 
     /// Number of transfers currently draining.
     pub fn active_transfers(&self) -> usize {
-        self.active.len()
+        self.transfers.len()
     }
 
     /// Starts a transfer of `size_bytes` from `src` to `dst` at time `now`.
@@ -318,39 +502,46 @@ impl Network {
         tag: u64,
     ) -> Result<TransferId, NetError> {
         self.advance(now);
-        let path = self.paths.borrow_mut().path(&self.topology, src, dst)?;
-        let extra_latency = self.topology.path_latency(&path);
-        let resources = self.resources_for(&path, src);
+        let path = self.link_scratch.get_mut();
+        path.clear();
+        self.paths
+            .get_mut()
+            .path_into(&self.topology, src, dst, path)?;
+        let ci = match self.transfers.by_pair.get(&(src, dst)) {
+            Some(&ci) => {
+                debug_assert_eq!(self.transfers.cohorts[ci as usize].path, *path);
+                ci
+            }
+            None => {
+                let extra_latency = self.topology.path_latency(path);
+                let ci = self.transfers.open(src, dst, path, extra_latency);
+                self.map_resources(ci as usize);
+                ci
+            }
+        };
         let id = TransferId(self.next_id);
         self.next_id += 1;
-        self.active.insert(
+        let member = Member {
             id,
-            ActiveTransfer {
-                id,
-                src,
-                dst,
-                size_bits: size_bytes * 8.0,
-                remaining_bits: (size_bytes * 8.0).max(1.0),
-                path,
-                resources,
-                rate_bps: 0.0,
-                started: now,
-                extra_latency,
-                tag,
-            },
-        );
+            size_bits: size_bytes * 8.0,
+            started: now,
+            tag,
+        };
+        self.transfers.join(ci, member, (size_bytes * 8.0).max(1.0));
         self.recompute_rates();
         Ok(id)
     }
 
-    /// Translates a link path into allocator resources. Without one-way
+    /// Translates cohort `ci`'s path into allocator resources. Without one-way
     /// degrades this is the identity mapping onto link indices; with them,
     /// links traversed in a degraded direction map onto the link's
     /// direction-specific resource (`n_links + link`).
-    fn resources_for(&self, path: &[LinkId], src: NodeId) -> Vec<ResourceId> {
-        let mut out = Vec::with_capacity(path.len());
-        self.resources_into(path, src, &mut out);
-        out
+    fn map_resources(&mut self, ci: usize) {
+        let mut resources = std::mem::take(&mut self.transfers.cohorts[ci].resources);
+        resources.clear();
+        let c = &self.transfers.cohorts[ci];
+        self.resources_into(&c.path, c.src, &mut resources);
+        self.transfers.cohorts[ci].resources = resources;
     }
 
     fn resources_into(&self, path: &[LinkId], src: NodeId, out: &mut Vec<ResourceId>) {
@@ -377,11 +568,15 @@ impl Network {
     /// active.
     pub fn cancel_transfer(&mut self, now: SimTime, id: TransferId) -> Result<bool, NetError> {
         self.advance(now);
-        let removed = self.active.remove(&id).is_some();
-        if removed {
-            self.recompute_rates();
-        }
-        Ok(removed)
+        let Some(&ci) = self.transfers.by_id.get(&id) else {
+            return Ok(false);
+        };
+        let pos = self.transfers.cohorts[ci as usize]
+            .position(id)
+            .expect("indexed transfers are cohort members");
+        self.transfers.take(ci, pos);
+        self.recompute_rates();
+        Ok(true)
     }
 
     /// Sets the competing background traffic between two hosts (in bits per
@@ -501,16 +696,8 @@ impl Network {
                 self.agg.split(node);
             }
             // Resource ids of in-flight transfers depend on the one-way map.
-            let ids: Vec<TransferId> = self.active.keys().copied().collect();
-            for id in ids {
-                let (path, src) = {
-                    let t = &self.active[&id];
-                    (t.path.clone(), t.src)
-                };
-                let resources = self.resources_for(&path, src);
-                if let Some(t) = self.active.get_mut(&id) {
-                    t.resources = resources;
-                }
+            for k in 0..self.transfers.live.len() {
+                self.map_resources(self.transfers.live[k] as usize);
             }
             self.caps_dirty = true;
             self.recompute_rates();
@@ -643,55 +830,43 @@ impl Network {
             return;
         }
         loop {
-            // Next drain completion under current rates.
-            let next_drain: Option<(TransferId, SimTime)> = self
-                .active
-                .values()
-                .map(|t| {
-                    let secs = if t.rate_bps > 0.0 {
-                        t.remaining_bits / t.rate_bps
-                    } else {
-                        f64::INFINITY
-                    };
-                    (t.id, current + SimDuration::from_secs(secs.min(1.0e12)))
-                })
-                // Tie-break on the transfer id so simultaneous completions
-                // drain in a deterministic order regardless of HashMap
-                // iteration order.
-                .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+            // Next drain completion under current rates: the least
+            // `(drain_at, id)` over every cohort's earliest member.
+            let mut next_drain: Option<(SimTime, TransferId, u32, usize)> = None;
+            for &ci in &self.transfers.live {
+                let (at, id, pos) = self.transfers.cohorts[ci as usize].next_drain(current);
+                if next_drain.is_none_or(|(best_at, best_id, ..)| (at, id) < (best_at, best_id)) {
+                    next_drain = Some((at, id, ci, pos));
+                }
+            }
 
             match next_drain {
-                Some((id, drain_at)) if drain_at <= now => {
+                Some((drain_at, _, ci, pos)) if drain_at <= now => {
                     // Drain every transfer up to the completion instant.
-                    let dt = drain_at.since(current).as_secs();
-                    for t in self.active.values_mut() {
-                        t.remaining_bits = (t.remaining_bits - t.rate_bps * dt).max(0.0);
-                    }
+                    self.transfers.drain(drain_at.since(current).as_secs());
                     current = drain_at;
-                    if let Some(done) = self.active.remove(&id) {
-                        let deliver_at = drain_at + done.extra_latency;
-                        self.pending.push(PendingDelivery {
-                            completed: CompletedTransfer {
-                                id: done.id,
-                                src: done.src,
-                                dst: done.dst,
-                                size_bytes: done.size_bits / 8.0,
-                                started: done.started,
-                                delivered: deliver_at,
-                                tag: done.tag,
-                            },
-                            deliver_at,
-                        });
-                    }
+                    let c = &self.transfers.cohorts[ci as usize];
+                    let (src, dst, extra_latency) = (c.src, c.dst, c.extra_latency);
+                    let done = self.transfers.take(ci, pos);
+                    let deliver_at = drain_at + extra_latency;
+                    self.pending.push(PendingDelivery {
+                        completed: CompletedTransfer {
+                            id: done.id,
+                            src,
+                            dst,
+                            size_bytes: done.size_bits / 8.0,
+                            started: done.started,
+                            delivered: deliver_at,
+                            tag: done.tag,
+                        },
+                        deliver_at,
+                    });
                     self.recompute_rates();
                 }
                 _ => {
                     // No completion before `now`; drain partially and stop.
-                    let dt = now.since(current).as_secs();
-                    for t in self.active.values_mut() {
-                        t.remaining_bits = (t.remaining_bits - t.rate_bps * dt).max(0.0);
-                    }
-                    self.refresh_drain_min();
+                    self.transfers.drain(now.since(current).as_secs());
+                    self.drain_min_pos_secs = self.transfers.drain_min_pos_secs();
                     current = now;
                     break;
                 }
@@ -700,13 +875,13 @@ impl Network {
         self.last_advance = current;
     }
 
-    /// Re-solves the allocation for the current epoch: demands are rebuilt
-    /// from the id-ordered transfer map (the same order the reference
-    /// implementation sorted into — float accumulation must not depend on
-    /// iteration order), capacities are refreshed only if a mutation dirtied
-    /// them, and the per-epoch probe memo is invalidated. With injected
-    /// classes, symmetric transfers fold into aggregate rows first — the
-    /// rates that come back are bit-identical either way.
+    /// Re-solves the allocation for the current epoch: one repeated demand
+    /// row per cohort (or, with injected classes, aggregate rows first —
+    /// see [`build_aggregated_demands`](Self::build_aggregated_demands)),
+    /// capacities refreshed only if a mutation dirtied them, and the
+    /// per-epoch probe memo invalidated. Row order and grouping are
+    /// immaterial because every transfer demand has unit weight: the rates
+    /// that come back are bit-identical to a per-transfer solve.
     fn recompute_rates(&mut self) {
         self.rate_epochs += 1;
         if self.caps_dirty {
@@ -714,40 +889,27 @@ impl Network {
         }
         self.probe_memo.get_mut().clear();
         self.demands.clear();
-        if !self.agg.enabled() {
-            for t in self.active.values() {
-                self.demands.push(1.0, &t.resources);
+        if self.agg.enabled() {
+            self.build_aggregated_demands();
+        } else {
+            let Transfers { cohorts, live, .. } = &mut self.transfers;
+            for (row, &ci) in live.iter().enumerate() {
+                let c = &mut cohorts[ci as usize];
+                c.slot = row as u32;
+                self.demands
+                    .push_repeated(1.0, &c.resources, c.members.len() as u32);
             }
-            let rates = self.rates_scratch.get_mut();
-            self.alloc
-                .get_mut()
-                .solve(&self.caps, &self.demands, None, rates);
-            let mut drain_min_pos: Option<f64> = None;
-            for (t, &rate) in self.active.values_mut().zip(rates.iter()) {
-                t.rate_bps = rate;
-                if rate > 0.0 {
-                    let secs = (t.remaining_bits / rate).min(1.0e12);
-                    drain_min_pos = Some(drain_min_pos.map_or(secs, |m: f64| m.min(secs)));
-                }
-            }
-            self.drain_min_pos_secs = drain_min_pos;
-            return;
         }
-        self.build_aggregated_demands();
         let rates = self.rates_scratch.get_mut();
         self.alloc
             .get_mut()
             .solve(&self.caps, &self.demands, None, rates);
-        let mut drain_min_pos: Option<f64> = None;
-        for (t, &mi) in self.active.values_mut().zip(self.agg.member_of.iter()) {
-            let rate = rates[mi as usize];
-            t.rate_bps = rate;
-            if rate > 0.0 {
-                let secs = (t.remaining_bits / rate).min(1.0e12);
-                drain_min_pos = Some(drain_min_pos.map_or(secs, |m: f64| m.min(secs)));
-            }
+        let Transfers { cohorts, live, .. } = &mut self.transfers;
+        for &ci in live.iter() {
+            let c = &mut cohorts[ci as usize];
+            c.rate_bps = rates[c.slot as usize];
         }
-        self.drain_min_pos_secs = drain_min_pos;
+        self.drain_min_pos_secs = self.transfers.drain_min_pos_secs();
     }
 
     /// Groups this epoch's transfers into aggregate demand rows.
@@ -761,130 +923,116 @@ impl Network {
     /// client to another server simply migrate it between rows — the "merge"
     /// half of the aggregate lifecycle needs no bookkeeping at all.
     ///
-    /// Fills `agg.member_of` with each transfer's member-rate index (id
-    /// order). Aggregate rows are emitted first (group-creation order), then
-    /// plain rows in id order; row order is immaterial to the solution
-    /// because every demand has unit weight.
+    /// Sets each cohort's rate slot. Aggregate rows are emitted first
+    /// (group-creation order, members in id order), then one repeated row per
+    /// remaining cohort; row order is immaterial to the solution because
+    /// every demand has unit weight.
     fn build_aggregated_demands(&mut self) {
+        /// Slot marker: the cohort gets a repeated row of its own.
+        const PLAIN: u32 = u32::MAX;
         let agg = &mut self.agg;
+        let store = &mut self.transfers;
         agg.begin_epoch();
         // Pass 1: concurrent-transfer counts per classed client endpoint.
-        for t in self.active.values() {
-            for node in [t.src, t.dst] {
+        for &ci in &store.live {
+            let c = &mut store.cohorts[ci as usize];
+            c.slot = PLAIN;
+            for node in [c.src, c.dst] {
                 if agg.flow_class.contains_key(&node) {
-                    *agg.counts.entry(node).or_insert(0) += 1;
+                    *agg.counts.entry(node).or_insert(0) += c.members.len() as u32;
                 }
             }
         }
-        // Pass 2: assign transfers to groups. `u32::MAX` marks "plain".
-        const PLAIN: u32 = u32::MAX;
-        let actives: Vec<&ActiveTransfer> = self.active.values().collect();
-        for (k, t) in actives.iter().enumerate() {
-            let client_src = agg.flow_class.get(&t.src).copied();
-            let client_dst = agg.flow_class.get(&t.dst).copied();
-            let (class, client, far, client_is_src) = match (client_src, client_dst) {
-                (Some(c), None) => (c, t.src, t.dst, true),
-                (None, Some(c)) => (c, t.dst, t.src, false),
-                _ => {
-                    agg.member_of.push(PLAIN);
-                    continue;
-                }
+        // Pass 2: group lone transfers in id order, provisionally storing
+        // the group slot in the cohort's rate slot. A classed client with a
+        // second concurrent transfer splits, so every grouped cohort holds
+        // exactly one transfer.
+        fn shared_of(c: &Cohort, client_is_src: bool) -> &[ResourceId] {
+            if client_is_src {
+                &c.resources[1..]
+            } else {
+                &c.resources[..c.resources.len() - 1]
+            }
+        }
+        for &ci in store.by_id.values() {
+            let c = &store.cohorts[ci as usize];
+            let (client, far, client_is_src) = match (
+                agg.flow_class.contains_key(&c.src),
+                agg.flow_class.contains_key(&c.dst),
+            ) {
+                (true, false) => (c.src, c.dst, true),
+                (false, true) => (c.dst, c.src, false),
+                _ => continue,
             };
-            if t.resources.is_empty()
-                || agg.split_nodes.contains(&client)
-                || agg.counts.get(&client).copied().unwrap_or(0) >= 2
-            {
-                if agg.counts.get(&client).copied().unwrap_or(0) >= 2 {
-                    agg.split(client);
-                }
-                agg.member_of.push(PLAIN);
+            if agg.counts[&client] >= 2 {
+                agg.split(client);
                 continue;
             }
-            fn shared_of(t: &ActiveTransfer, client_is_src: bool) -> &[ResourceId] {
-                if client_is_src {
-                    &t.resources[1..]
-                } else {
-                    &t.resources[..t.resources.len() - 1]
-                }
+            if c.resources.is_empty() || agg.split_nodes.contains(&client) {
+                continue;
             }
-            let key = (class, far, client_is_src);
+            let key = (agg.flow_class[&client], far, client_is_src);
             if let Some(&gi) = agg.index.get(&key) {
-                let rep = actives[agg.groups[gi as usize].rep as usize];
-                if shared_of(rep, client_is_src) == shared_of(t, client_is_src) {
-                    agg.groups[gi as usize].members.push(k as u32);
-                    agg.member_of.push(gi); // provisional: group slot, fixed up below
-                } else {
-                    // Asymmetric routing within the class: stays plain.
-                    agg.member_of.push(PLAIN);
+                let rep = &store.cohorts[agg.groups[gi as usize].rep as usize];
+                // Asymmetric routing within the class stays plain.
+                if shared_of(rep, client_is_src) == shared_of(c, client_is_src) {
+                    agg.groups[gi as usize].members.push(ci);
+                    store.cohorts[ci as usize].slot = gi;
                 }
             } else {
-                let gi = agg.alloc_group(k as u32, client_is_src);
+                let gi = agg.alloc_group(ci, client_is_src);
                 agg.index.insert(key, gi);
-                agg.groups[gi as usize].members.push(k as u32);
-                agg.member_of.push(gi);
+                agg.groups[gi as usize].members.push(ci);
+                store.cohorts[ci as usize].slot = gi;
             }
         }
-        // Pass 3: emit aggregate rows (group-creation order), then plain
-        // rows (id order), rewriting `member_of` from provisional group
-        // slots to final member-rate indices.
+        // Pass 3: emit aggregate rows (group-creation order), then one
+        // repeated row per plain cohort, assigning final rate slots.
         let mut stats = AggregationStats {
-            total_flows: actives.len(),
+            total_flows: store.len(),
             ..AggregationStats::default()
         };
-        let mut next_member = 0u32;
-        for gi in 0..agg.n_groups {
-            let g = &agg.groups[gi];
-            let rep = actives[g.rep as usize];
-            let shared: &[ResourceId] = if g.client_is_src {
-                &rep.resources[1..]
-            } else {
-                &rep.resources[..rep.resources.len() - 1]
-            };
-            let access_of = |t: &ActiveTransfer| -> ResourceId {
+        let mut next_slot = 0u32;
+        for g in &agg.groups[..agg.n_groups] {
+            let access_of = |c: &Cohort| -> ResourceId {
                 if g.client_is_src {
-                    t.resources[0]
+                    c.resources[0]
                 } else {
-                    t.resources[t.resources.len() - 1]
+                    c.resources[c.resources.len() - 1]
                 }
             };
             // Reuse the probe scratch buffer for the member access list.
             let mut access = self.probe_scratch.borrow_mut();
             access.clear();
-            for &k in &g.members {
-                access.push(access_of(actives[k as usize]));
+            access.extend(
+                g.members
+                    .iter()
+                    .map(|&ci| access_of(&store.cohorts[ci as usize])),
+            );
+            let rep = &store.cohorts[g.rep as usize];
+            self.demands
+                .push_aggregate(1.0, shared_of(rep, g.client_is_src), &access);
+            for &ci in &g.members {
+                store.cohorts[ci as usize].slot = next_slot;
+                next_slot += 1;
             }
-            self.demands.push_aggregate(1.0, shared, &access);
-            for (j, &k) in g.members.iter().enumerate() {
-                agg.member_of[k as usize] = next_member + j as u32;
-            }
-            next_member += g.members.len() as u32;
             stats.rows += 1;
             if g.members.len() > 1 {
                 stats.aggregated_flows += g.members.len();
             }
         }
-        for (k, t) in actives.iter().enumerate() {
-            if agg.member_of[k] == PLAIN {
-                self.demands.push(1.0, &t.resources);
-                agg.member_of[k] = next_member;
-                next_member += 1;
-                stats.rows += 1;
+        let Transfers { cohorts, live, .. } = store;
+        for &ci in live.iter() {
+            let c = &mut cohorts[ci as usize];
+            if c.slot == PLAIN {
+                self.demands
+                    .push_repeated(1.0, &c.resources, c.members.len() as u32);
+                c.slot = next_slot;
+                next_slot += 1;
+                stats.rows += c.members.len();
             }
         }
         agg.stats = stats;
-    }
-
-    /// Recomputes the cached minimum drain time after remaining volumes
-    /// changed without a rate change (a partial drain).
-    fn refresh_drain_min(&mut self) {
-        let mut drain_min_pos: Option<f64> = None;
-        for t in self.active.values() {
-            if t.rate_bps > 0.0 {
-                let secs = (t.remaining_bits / t.rate_bps).min(1.0e12);
-                drain_min_pos = Some(drain_min_pos.map_or(secs, |m: f64| m.min(secs)));
-            }
-        }
-        self.drain_min_pos_secs = drain_min_pos;
     }
 
     /// The earliest future time at which something observable happens: a
@@ -1006,7 +1154,7 @@ impl Network {
                 self.agg.flow_class.insert(node, class);
             }
         }
-        if !self.active.is_empty() {
+        if self.transfers.len() > 0 {
             self.recompute_rates();
         }
     }
@@ -1045,12 +1193,14 @@ impl Network {
 
     /// The current drain rate of a transfer, if it is still active.
     pub fn transfer_rate(&self, id: TransferId) -> Option<f64> {
-        self.active.get(&id).map(|t| t.rate_bps)
+        self.transfers.find(id).map(|(c, _)| c.rate_bps)
     }
 
     /// Remaining bytes of a transfer, if still active.
     pub fn transfer_remaining_bytes(&self, id: TransferId) -> Option<f64> {
-        self.active.get(&id).map(|t| t.remaining_bits / 8.0)
+        self.transfers
+            .find(id)
+            .map(|(c, pos)| c.remaining[pos] / 8.0)
     }
 }
 
@@ -1361,6 +1511,49 @@ mod tests {
         assert_eq!(stats.permanent_splits, 2);
         assert_eq!(stats.total_flows, 4);
         assert_eq!(stats.aggregated_flows, 0, "no multi-member rows remain");
+    }
+
+    /// The cohort's next drain equals the minimum `(drain_at, id)` over
+    /// every member, including remaining volumes that differ yet round to
+    /// one drain instant, where the least volume is not the least id.
+    #[test]
+    fn cohort_next_drain_matches_a_scan_of_every_member() {
+        let mut state = 0x5EED_CAFEu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..400 {
+            let mut store = Transfers::default();
+            let ci = store.open(NodeId(0), NodeId(1), &[], SimDuration::ZERO);
+            store.cohorts[ci as usize].rate_bps = [5.0e6, 1.0, 0.0][trial % 3];
+            // Ids arrive out of volume order, and some volumes differ by
+            // less than a drain instant resolves.
+            let base = 4096.0 + (next() % 4) as f64;
+            for id in 0..1 + next() % 12 {
+                let remaining = match next() % 3 {
+                    0 => base,
+                    1 => base + (next() % 8) as f64 * 1.0e-12,
+                    _ => base + (next() % 64) as f64,
+                };
+                let member = Member {
+                    id: TransferId(id),
+                    size_bits: 0.0,
+                    started: SimTime::ZERO,
+                    tag: 0,
+                };
+                store.join(ci, member, remaining);
+            }
+            let c = &store.cohorts[ci as usize];
+            let now = t(60.0 + trial as f64);
+            let scan = (c.remaining.iter().zip(&c.members).enumerate())
+                .map(|(pos, (&x, m))| (now + SimDuration::from_secs(c.drain_secs(x)), m.id, pos))
+                .min()
+                .unwrap();
+            assert_eq!(c.next_drain(now), scan, "trial {trial}");
+        }
     }
 
     #[test]

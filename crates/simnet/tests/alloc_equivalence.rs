@@ -16,7 +16,7 @@ use simnet::flow::{max_min_fair_rates, FlowDemand, FlowKey};
 use simnet::rng::SimRng;
 use simnet::topology::{LinkId, NodeId, Topology};
 use simnet::{Network, SimDuration, SimTime, TransferId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A random connected topology: a chain of routers with hosts hung off
 /// seeded positions, seeded capacities, and seeded latencies.
@@ -264,4 +264,193 @@ fn allocator_matches_reference_fixed_deep_scenario() {
 fn aggregated_allocator_matches_reference_fixed_deep_scenario() {
     run_equivalence_scenario_with(0xC0FFEE, 4, 6, 120, true);
     run_equivalence_scenario_with(0xA66A, 3, 8, 120, true);
+}
+
+/// A per-transfer fluid drain — the network model before same-pair cohorts,
+/// kept as the oracle for drain volumes and completion order. Rates come
+/// from the reference allocator over the network's public state.
+#[derive(Default)]
+struct ReferenceDrain {
+    /// Transfer id → (src, dst, remaining bits, rate).
+    active: BTreeMap<u64, (NodeId, NodeId, f64, f64)>,
+    /// Completed (id, delivery instant) pairs not yet polled.
+    pending: Vec<(u64, SimTime)>,
+    /// Seconds drained up to.
+    last: f64,
+}
+
+impl ReferenceDrain {
+    fn recompute(&mut self, net: &Network) {
+        let capacities = reference_capacities(net);
+        let demands: Vec<FlowDemand> = self
+            .active
+            .iter()
+            .map(|(&id, &(src, dst, ..))| FlowDemand {
+                key: FlowKey(id),
+                links: net.topology().path(src, dst).unwrap(),
+                weight: 1.0,
+            })
+            .collect();
+        let rates = max_min_fair_rates(&capacities, &demands);
+        for (id, t) in self.active.iter_mut() {
+            t.3 = rates[&FlowKey(*id)];
+        }
+    }
+
+    /// Drains to `now` under the network's current capacities, re-solving
+    /// after each completion.
+    fn advance(&mut self, net: &Network, now: SimTime) {
+        let mut current = SimTime::from_secs(self.last);
+        while current < now {
+            let next = self
+                .active
+                .iter()
+                .map(|(&id, &(.., remaining, rate))| {
+                    let secs = if rate > 0.0 {
+                        remaining / rate
+                    } else {
+                        f64::INFINITY
+                    };
+                    (current + SimDuration::from_secs(secs.min(1.0e12)), id)
+                })
+                .min()
+                .filter(|&(at, _)| at <= now);
+            let until = next.map_or(now, |(at, _)| at);
+            let dt = until.since(current).as_secs();
+            for t in self.active.values_mut() {
+                t.2 = (t.2 - t.3 * dt).max(0.0);
+            }
+            current = until;
+            let Some((at, id)) = next else { break };
+            let (src, dst, ..) = self.active.remove(&id).unwrap();
+            let path = net.topology().path(src, dst).unwrap();
+            self.pending
+                .push((id, at + net.topology().path_latency(&path)));
+            self.recompute(net);
+        }
+        self.last = current.as_secs();
+    }
+
+    /// Completions delivered by `now`, as (id, delivery instant bits).
+    fn poll(&mut self, now: SimTime) -> Vec<(u64, u64)> {
+        let (mut ready, waiting): (Vec<_>, Vec<_>) =
+            self.pending.drain(..).partition(|&(_, at)| at <= now);
+        self.pending = waiting;
+        ready.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
+        ready
+            .into_iter()
+            .map(|(id, at)| (id, at.as_secs().to_bits()))
+            .collect()
+    }
+}
+
+/// Hundreds of concurrent same-pair requests pile up behind a router that is
+/// down for most of the run, then drain when it returns. Every step checks
+/// the live rates and a probe against the reference allocator, and every
+/// transfer's rate, remaining volume and completion (id and delivery
+/// instant, bit for bit) against the per-transfer reference drain.
+fn run_stall_scenario(seed: u64, aggregate: bool) {
+    let ms = SimDuration::from_millis;
+    let mut topo = Topology::new();
+    let edge = topo.add_router("edge").unwrap();
+    let core = topo.add_router("core").unwrap();
+    let far = topo.add_router("far").unwrap();
+    topo.add_link(edge, core, 10.0e6, ms(2.0)).unwrap();
+    topo.add_link(core, far, 10.0e6, ms(2.0)).unwrap();
+    let mut hosts = |prefix: &str, n: usize, router: NodeId| -> Vec<NodeId> {
+        (0..n)
+            .map(|i| {
+                let h = topo.add_host(&format!("{prefix}{i}")).unwrap();
+                topo.add_link(h, router, 10.0e6, ms(1.0)).unwrap();
+                h
+            })
+            .collect()
+    };
+    let clients = hosts("c", 4, edge);
+    let servers = hosts("s", 2, far);
+    let mut net = Network::new(topo);
+    if aggregate {
+        net.set_flow_classes(clients.iter().map(|&c| (c, 0)));
+    }
+    let mut oracle = ReferenceDrain::default();
+    let mut rng = SimRng::seed_from_u64(seed).derive(5);
+    let mut ledger: Vec<(TransferId, NodeId, NodeId)> = Vec::new();
+    let mut core_down = false;
+    let mut clock = 0.0;
+    let mut peak = 0;
+    while clock < 90.0 {
+        clock += rng.uniform_range(0.05, 0.4);
+        let now = SimTime::from_secs(clock);
+        oracle.advance(&net, now);
+        let pick = rng.index(8);
+        if (2.0..60.0).contains(&clock) != core_down {
+            core_down = !core_down;
+            net.set_node_down(now, core, core_down).unwrap();
+        } else if pick <= 5 {
+            // Bursts of requests from two hot clients to one server, or a
+            // lone transfer on an otherwise idle pair — some of them local
+            // to the edge router, so they keep completing while the core
+            // is down.
+            let burst = if pick < 5 { 1 + rng.index(8) } else { 1 };
+            for _ in 0..burst {
+                let (src, dst, size) = if pick < 5 {
+                    let size = [512.0, 512.0, 4096.0][rng.index(3)];
+                    (clients[rng.index(2)], servers[0], size)
+                } else {
+                    let dst = [servers[1], clients[0]][rng.index(2)];
+                    (
+                        clients[2 + rng.index(2)],
+                        dst,
+                        rng.uniform_range(1.0e3, 2.0e5),
+                    )
+                };
+                let id = net.start_transfer(now, src, dst, size, 0).unwrap();
+                ledger.push((id, src, dst));
+                oracle
+                    .active
+                    .insert(id.0, (src, dst, (size * 8.0).max(1.0), 0.0));
+            }
+        } else if pick == 6 && !ledger.is_empty() {
+            let (id, ..) = ledger[rng.index(ledger.len())];
+            let cancelled = net.cancel_transfer(now, id).unwrap();
+            assert_eq!(cancelled, oracle.active.remove(&id.0).is_some());
+        } else {
+            let bps = rng.uniform_range(0.0, 8.0e6);
+            net.set_background_between(now, clients[3], servers[1], bps)
+                .unwrap();
+        }
+        oracle.recompute(&net);
+        let done: Vec<(u64, u64)> = (net.poll_completions(now).iter())
+            .map(|c| (c.id.0, c.delivered.as_secs().to_bits()))
+            .collect();
+        assert_eq!(done, oracle.poll(now), "completions at {clock}");
+        peak = peak.max(net.active_transfers());
+        assert_eq!(net.active_transfers(), oracle.active.len());
+        for (&id, &(.., remaining, rate)) in &oracle.active {
+            let id = TransferId(id);
+            let live = (net.transfer_rate(id), net.transfer_remaining_bytes(id));
+            let bits = (live.0.map(f64::to_bits), live.1.map(f64::to_bits));
+            let expected = (Some(rate.to_bits()), Some((remaining / 8.0).to_bits()));
+            assert_eq!(bits, expected, "rate and remaining of {id:?}");
+        }
+        let probe_src = clients[rng.index(clients.len())];
+        let probe_dst = servers[rng.index(servers.len())];
+        assert_reference_agreement(&net, &ledger, (probe_src, probe_dst));
+    }
+    assert!(peak >= 200, "the stall never piled up: peak {peak}");
+}
+
+/// Same-pair cohorts under a long stall, with one repeated row per pair.
+#[test]
+fn stalled_cohorts_match_reference_drain() {
+    run_stall_scenario(0x57A11, false);
+    run_stall_scenario(1009, false);
+}
+
+/// The stall scenario again with position classes injected, so lone
+/// transfers fold into aggregate rows beside the repeated cohort rows.
+#[test]
+fn stalled_cohorts_match_reference_drain_aggregated() {
+    run_stall_scenario(0x57A11, true);
+    run_stall_scenario(1009, true);
 }
